@@ -68,6 +68,26 @@ func ladderCircuit() *stab.Circuit {
 	return c
 }
 
+// denseD9Cells is one Z-basis decode window captured from a d=9 memory
+// experiment at p=3.08% (the densest window of
+// internal/decoder/testdata/highp_d9_windows.txt): 26 syndromes forming
+// a single cluster, past the DP's reach.
+var denseD9Cells = [][2]int{
+	{0, 4}, {0, 6}, {0, 8}, {1, 3}, {2, 2}, {2, 4}, {2, 6}, {3, 1}, {3, 3},
+	{3, 7}, {4, 2}, {4, 4}, {4, 6}, {4, 8}, {5, 1}, {5, 3}, {5, 5}, {5, 7},
+	{6, 2}, {6, 6}, {6, 8}, {7, 3}, {7, 5}, {8, 8}, {9, 5}, {9, 7},
+}
+
+// denseD9Window returns the d=9 code and the dense window's syndrome.
+func denseD9Window() (surface.Code, *decoder.SyndromeBitmap) {
+	code := surface.NewCode(9)
+	syn := decoder.NewSyndromeBitmap(code)
+	for _, rc := range denseD9Cells {
+		syn.Set(surface.Coord{Row: rc[0], Col: rc[1]})
+	}
+	return code, syn
+}
+
 // benchmarks is the tier-1 set. Each function is a standard benchmark
 // body; one iteration is one unit of the named work (one shot, one
 // decode, one sweep cell). The context cancels the shot- and sweep-
@@ -186,6 +206,32 @@ func benchmarks(ctx context.Context) []struct {
 				for _, c := range cells {
 					syn.Set(c)
 				}
+				uf.Decode(code, pauli.Z, syn, &res)
+			}
+		}},
+		{"decode-patch-d9-dense", func(b *testing.B) {
+			// One above-threshold window: the exact matcher on a single
+			// k=26 cluster, which runs through the blossom solver.
+			code, syn := denseD9Window()
+			var sc decoder.Scratch
+			var res decoder.Result
+			decoder.DecodePatchInto(code, pauli.Z, syn, &sc, &res) // warm the scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decoder.DecodePatchInto(code, pauli.Z, syn, &sc, &res)
+			}
+		}},
+		{"decode-uf-d9-dense", func(b *testing.B) {
+			// The same window through the union-find backend.
+			code, syn := denseD9Window()
+			uf, err := decoder.NewBackendByName("union-find")
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res decoder.Result
+			uf.Decode(code, pauli.Z, syn, &res) // warm the scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				uf.Decode(code, pauli.Z, syn, &res)
 			}
 		}},

@@ -78,3 +78,36 @@ func TestCheckBaseline(t *testing.T) {
 		t.Error("invalid baseline JSON passed")
 	}
 }
+
+// TestDenseDecodeRowsAllocationFree pins the two above-threshold decode
+// rows at zero allocations per op, the same steady state the decoder's
+// AllocsPerRun tests pin.
+func TestDenseDecodeRowsAllocationFree(t *testing.T) {
+	bt := flag.CommandLine.Lookup("test.benchtime")
+	old := bt.Value.String()
+	if err := bt.Value.Set("20x"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := bt.Value.Set(old); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	rows := 0
+	for _, bm := range benchmarks(context.Background()) {
+		if bm.Name != "decode-patch-d9-dense" && bm.Name != "decode-uf-d9-dense" {
+			continue
+		}
+		rows++
+		m, ok := measure(bm.Fn)
+		if !ok {
+			t.Fatalf("%s: never ran", bm.Name)
+		}
+		if m.AllocsPerOp != 0 {
+			t.Fatalf("%s: %.0f allocs/op, want 0", bm.Name, m.AllocsPerOp)
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("found %d dense decode rows, want 2", rows)
+	}
+}

@@ -14,6 +14,9 @@
 //	xqsweep -all -jsonl results.jsonl            # one pinned-schema JSON value per line
 //	xqsweep -fig 5 -cpuprofile cpu.prof -memprofile mem.prof
 //
+// -cpuprofile and -memprofile work in every mode below as well, and the
+// profiles are flushed on error exits too.
+//
 // Sharded grids (distributed sweeps — see README "Distributed sweeps"):
 //
 //	xqsweep -grid circuit -d 3,5,7 -p 1e-3,3e-3 -jsonl grid.jsonl    # whole grid, one process
@@ -35,7 +38,12 @@ import (
 	"xqsim/internal/prof"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body. It returns the exit status instead of calling
+// os.Exit, so the deferred profile flush runs on every path, in every
+// mode.
+func run() int {
 	var (
 		fig         = flag.String("fig", "", "figure to regenerate: 5, 10, 12, 14, 16, 17, 18, 19")
 		sensitivity = flag.Bool("sensitivity", false, "run the Section-6.2 parameter sensitivity study")
@@ -70,6 +78,7 @@ func main() {
 		leaseBatch = flag.Int("lease-batch", 1, "cells to lease per request in -worker mode")
 	)
 	flag.Parse()
+	defer prof.Start()()
 
 	if *grid != "" || *merge || *worker != "" || *fetch != "" {
 		gf := gridFlags{
@@ -98,11 +107,10 @@ func main() {
 		}
 		if err != nil {
 			_, _ = fmt.Fprintln(os.Stderr, "xqsweep:", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
-	defer prof.Start()()
 	opts := xqsim.ExperimentOptions{Shots: *shots, Seed: *seed, TournamentDecoder: *decoderName}
 
 	// SIGINT/SIGTERM cancel the sweep between grid cells; the checkpoint
@@ -116,7 +124,7 @@ func main() {
 			loaded, err := xqsim.LoadSweepCheckpoint(*checkpoint)
 			if err != nil {
 				_, _ = fmt.Fprintln(os.Stderr, "xqsweep:", err)
-				os.Exit(1)
+				return 1
 			}
 			if loaded.Compatible(*seed, *shots) {
 				ck = loaded
@@ -131,50 +139,57 @@ func main() {
 	}
 
 	var results []xqsim.ExperimentResult
-	run := func(id string) {
+	// runOne runs (or restores) one experiment; false means the sweep
+	// failed and the error is already reported.
+	runOne := func(id string) bool {
 		if cid := xqsim.CanonicalExperimentID(id); ck.Has(cid) {
 			results = append(results, ck.Results[cid])
 			_, _ = fmt.Fprintf(os.Stderr, "skipping %s (checkpointed)\n", cid)
-			return
+			return true
 		}
 		r, err := xqsim.RunExperiment(ctx, id, opts)
 		if err != nil {
 			_, _ = fmt.Fprintln(os.Stderr, "xqsweep:", err)
 			flushPartial(results, *md, *csv, *jsonl)
-			os.Exit(1)
+			return false
 		}
 		results = append(results, r)
 		if ck != nil {
 			ck.Put(r)
 			if err := ck.Save(*checkpoint); err != nil {
 				_, _ = fmt.Fprintln(os.Stderr, "xqsweep:", err)
-				os.Exit(1)
+				return false
 			}
 		}
+		return true
 	}
 
+	var ids []string
 	switch {
 	case *all:
-		for _, id := range []string{"t4", "10", "12", "t3", "5", "14", "16", "17", "18", "19", "sensitivity"} {
-			run(id)
-		}
+		ids = []string{"t4", "10", "12", "t3", "5", "14", "16", "17", "18", "19", "sensitivity"}
 	case *sensitivity:
-		run("sensitivity")
+		ids = []string{"sensitivity"}
 	case *threshold:
-		run("threshold")
+		ids = []string{"threshold"}
 	case *circuitThr:
-		run("circuit-threshold")
+		ids = []string{"circuit-threshold"}
 	case *degradation:
-		run("degradation")
+		ids = []string{"degradation"}
 	case *tournament:
-		run("tournament")
+		ids = []string{"tournament"}
 	case *fig != "":
-		run(*fig)
+		ids = []string{*fig}
 	case *table != "":
-		run("t" + *table)
+		ids = []string{"t" + *table}
 	default:
 		flag.Usage()
-		os.Exit(2)
+		return 2
+	}
+	for _, id := range ids {
+		if !runOne(id) {
+			return 1
+		}
 	}
 
 	for _, r := range results {
@@ -184,7 +199,7 @@ func main() {
 	if *md != "" && len(results) > 0 {
 		if err := os.WriteFile(*md, []byte(xqsim.MarkdownReport(results)), 0o644); err != nil {
 			_, _ = fmt.Fprintln(os.Stderr, "xqsweep:", err)
-			os.Exit(1)
+			return 1
 		}
 		worst, where := xqsim.WorstDeviationPct(results)
 		_, _ = fmt.Fprintf(os.Stderr, "wrote report to %s (worst deviation %.1f%% at %s)\n", *md, worst, where)
@@ -193,7 +208,7 @@ func main() {
 	if *csv != "" && len(results) > 0 {
 		if err := writeCSV(*csv, results); err != nil {
 			_, _ = fmt.Fprintln(os.Stderr, "xqsweep:", err)
-			os.Exit(1)
+			return 1
 		}
 		_, _ = fmt.Fprintf(os.Stderr, "wrote series to %s\n", *csv)
 	}
@@ -201,10 +216,11 @@ func main() {
 	if *jsonl != "" && len(results) > 0 {
 		if err := writeJSONL(*jsonl, results); err != nil {
 			_, _ = fmt.Fprintln(os.Stderr, "xqsweep:", err)
-			os.Exit(1)
+			return 1
 		}
 		_, _ = fmt.Fprintf(os.Stderr, "wrote %d JSONL results to %s\n", len(results), *jsonl)
 	}
+	return 0
 }
 
 // flushPartial writes whatever completed before a failure or interrupt,

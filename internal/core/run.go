@@ -234,13 +234,16 @@ func RunShotsOpt(ctx context.Context, circ compiler.Circuit, d int, physError fl
 		firstErrShot = shots
 		faultSum     faults.Totals
 	)
+	// Every runner is cloned before any goroutine starts: Clone reads the
+	// base pipeline's config, which worker 0's RunShot rewrites in Reset.
+	runners := make([]*ShotRunner, workers)
+	runners[0] = base
+	for w := 1; w < workers; w++ {
+		runners[w] = base.Clone()
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		runner := base
-		if w > 0 {
-			runner = base.Clone()
-		}
+	for _, runner := range runners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"xqsim/internal/compiler"
@@ -194,5 +195,30 @@ func TestRatesScaleInvariance(t *testing.T) {
 	}
 	if rel(a.AvgMatchSteps, b.AvgMatchSteps) > 0.6 {
 		t.Fatalf("match distance drifts with scale: %v vs %v", a.AvgMatchSteps, b.AvgMatchSteps)
+	}
+}
+
+// TestRunShotsClonesBeforeWorkersStart is the regression for a data race
+// in RunShotsOpt: worker 0 ran shots on the base runner (Pipeline.Reset
+// writes its config) while the loop still cloned that runner for later
+// workers (Clone reads it). With several workers, `go test -race` flags
+// the old order on every run; the result must also stay deterministic.
+func TestRunShotsClonesBeforeWorkersStart(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	circ := compiler.SinglePPR("XZ", ftqc.AnglePi4)
+	want, _, err := RunShots(context.Background(), circ, 3, 0.002, 16, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, _, err := RunShots(context.Background(), circ, 3, 0.002, 16, 29)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("run %d: distribution differs at %d: %v vs %v", i, k, got[k], want[k])
+			}
+		}
 	}
 }

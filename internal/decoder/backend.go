@@ -24,8 +24,8 @@ import (
 //     identical Results on the same backend, on a fresh backend, and on a
 //     Clone;
 //   - the total correction weight is never below the exact matcher's
-//     (ReferenceDecodePatch is minimum-weight, so it lower-bounds every
-//     valid backend).
+//     (DecodePatch is minimum-weight for every cluster size, so it
+//     lower-bounds every valid backend).
 //
 // A Backend owns private scratch and is single-goroutine; Clone gives
 // each worker its own.
@@ -86,8 +86,9 @@ func matchingCycleCost(d int, matches []Match) uint64 {
 }
 
 // MatchingBackend adapts the production spike/token matcher
-// (DecodePatchInto: exact bitmask DP per cluster) to the Backend
-// interface. Its corrections are bit-identical to ReferenceDecodePatch.
+// (DecodePatchInto: exact minimum-weight matching per cluster) to the
+// Backend interface. It meets the differential contract against
+// ReferenceDecodePatch (see CheckDifferential).
 type MatchingBackend struct {
 	sc Scratch
 }

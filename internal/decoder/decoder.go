@@ -20,9 +20,11 @@
 // The hot path is allocation-free: syndromes travel as bit-packed
 // SyndromeBitmaps, per-distance boundary tables are precomputed once, and
 // DecodePatchInto threads a reusable Scratch through clustering, the
-// exact bitmask-DP matcher, and path reconstruction. The map-based
-// DecodePatch remains as a convenience wrapper producing identical
-// results (see TestBitmapEquivalence).
+// exact per-cluster matcher, and path reconstruction. The matching is
+// exact minimum-weight for every cluster size: small clusters use a
+// bitmask DP, large ones Edmonds' blossom algorithm (see
+// DecodePatchInto). The map-based DecodePatch remains as a convenience
+// wrapper producing identical results.
 package decoder
 
 import (
@@ -235,9 +237,12 @@ func sign(x int) int {
 	return 0
 }
 
-// maxExactCluster bounds the bitmask DP; larger clusters fall back to
-// greedy nearest-pair matching.
-const maxExactCluster = 20
+// blossomMinCluster is the cluster size at which DecodePatchInto
+// switches from the bitmask DP to the blossom matcher. Both are exact;
+// below it the DP's 2^k table is cheaper than the blossom's O(k³) setup,
+// at and above it the blossom wins. The value is the crossover of the
+// k-sweep microbenchmark BenchmarkClusterSolvers (EXPERIMENTS.md).
+const blossomMinCluster = 11
 
 // Scratch holds the reusable working memory of one decode stream. A zero
 // Scratch is ready to use; buffers grow to the high-water mark of the
@@ -252,12 +257,12 @@ type Scratch struct {
 	gid    []int32         // root -> group id in first-seen order (-1 unset)
 	group  []int32         // per-cell group id
 	member []int32         // member gather buffer for one cluster
-	open   []bool          // greedy-fallback token state
 	f      []int32         // DP: min cost per subset
 	choice []int32         // DP: chosen partner per subset (-1 = boundary)
+	bl     blossom         // blossom matcher for clusters of blossomMinCluster or more
 }
 
-// grow returns s resized to n, reusing capacity.
+// growInt32 returns s resized to n, reusing capacity.
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
@@ -324,12 +329,18 @@ func (sc *Scratch) prepare(c surface.Code, basis pauli.Pauli) int {
 //
 // Syndromes are first split into independent clusters (two syndromes can
 // only be profitably paired when their distance is below the sum of their
-// boundary distances); each cluster is solved exactly by bitmask dynamic
-// programming, with a nearest-pair greedy fallback for clusters too large
-// for the exact solver (which do not occur at the paper's error rates).
+// boundary distances). Every cluster is solved exactly, whatever its
+// size k: by bitmask dynamic programming when k < blossomMinCluster, and
+// by Edmonds' blossom algorithm otherwise.
 //
 // Cells are consumed in row-major scan order (the hardware's cell scan
-// order), so identical syndromes always produce identical Results.
+// order), so identical syndromes always produce identical Results. Within
+// a cluster, matches are listed by their lower-indexed member in scan
+// order. When several matchings share the minimum weight, the DP keeps
+// the first option it meets for the lowest member (the boundary before
+// any partner, then the lowest-indexed partner); the blossom returns the
+// optimum its search reaches first, which is deterministic but may be a
+// different one of the tied matchings.
 func DecodePatchInto(c surface.Code, basis pauli.Pauli, syn *SyndromeBitmap, sc *Scratch, res *Result) {
 	res.Flips = res.Flips[:0]
 	res.Matches = res.Matches[:0]
@@ -346,7 +357,11 @@ func DecodePatchInto(c surface.Code, basis pauli.Pauli, syn *SyndromeBitmap, sc 
 				sc.member = append(sc.member, int32(i))
 			}
 		}
-		decodeClusterInto(c, basis, sc, res)
+		if len(sc.member) < blossomMinCluster {
+			decodeClusterInto(c, basis, sc, res)
+		} else {
+			decodeBlossomInto(c, basis, sc, res)
+		}
 	}
 }
 
@@ -359,10 +374,6 @@ func DecodePatchInto(c surface.Code, basis pauli.Pauli, syn *SyndromeBitmap, sc 
 func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Result) {
 	k := len(sc.member)
 	if k == 0 {
-		return
-	}
-	if k > maxExactCluster {
-		decodeGreedyInto(c, basis, sc, res)
 		return
 	}
 	n := len(sc.cells)
@@ -404,44 +415,61 @@ func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Resu
 	}
 }
 
-// decodeGreedyInto is the nearest-pair fallback for oversized clusters.
-func decodeGreedyInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Result) {
+// decodeBlossomInto solves one cluster (sc.member) exactly as a
+// minimum-weight perfect matching on 2k vertices: member i is vertex i+1,
+// its boundary twin is vertex k+i+1. Edges are member–member at the
+// chain length (pruned where it is no shorter than both boundary chains,
+// which never beats sending both members to the boundary), member–own
+// twin at the boundary distance, and twin–twin at zero, so twins pair
+// off whichever members the matching leaves for the boundary. The
+// blossom maximizes weight, so each edge carries big - w, where big
+// exceeds k times the largest w and every maximum-weight matching is
+// therefore perfect. Matches are emitted in the DP's order: by lower
+// member index.
+func decodeBlossomInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Result) {
 	k := len(sc.member)
 	n := len(sc.cells)
-	if cap(sc.open) < k {
-		sc.open = make([]bool, k)
-	}
-	sc.open = sc.open[:k]
-	for i := range sc.open {
-		sc.open[i] = true
-	}
-	for a := 0; a < k; a++ {
-		if !sc.open[a] {
-			continue
-		}
-		sc.open[a] = false
-		ma := int(sc.member[a])
-		bestB := -1
-		bestDist := int32(-1)
-		for b := 0; b < k; b++ {
-			if !sc.open[b] {
-				continue
-			}
-			d := sc.dist[ma*n+int(sc.member[b])]
-			if bestDist < 0 || d < bestDist {
-				bestB, bestDist = b, d
+	var wmax int32
+	for a, ma := range sc.member {
+		bi := sc.bdist[ma]
+		wmax = max(wmax, bi)
+		for _, mb := range sc.member[a+1:] {
+			if d := sc.dist[int(ma)*n+int(mb)]; d < bi+sc.bdist[mb] {
+				wmax = max(wmax, d)
 			}
 		}
-		bd := sc.bdist[ma]
-		if bestDist < 0 || bd < bestDist {
-			res.Matches = append(res.Matches, Match{From: sc.cells[ma], ToBoundary: true, Steps: int(bd)})
+	}
+	big := int32(k)*wmax + 1
+	m := &sc.bl
+	m.reset(2 * k)
+	for a, ma := range sc.member {
+		bi := sc.bdist[ma]
+		m.setEdge(a+1, k+a+1, big-bi)
+		for b := a + 1; b < k; b++ {
+			mb := sc.member[b]
+			if d := sc.dist[int(ma)*n+int(mb)]; d < bi+sc.bdist[mb] {
+				m.setEdge(a+1, b+1, big-d)
+			}
+			m.setEdge(k+a+1, k+b+1, big)
+		}
+	}
+	// Twin–twin edges carry the top weight, so pairing the twins up front
+	// is a tight starting matching: it saves the blossom half its stages.
+	for a := 0; a+1 < k; a += 2 {
+		m.prematch(k+a+1, k+a+2)
+	}
+	m.solve()
+	for a, ma := range sc.member {
+		mate := int(m.match[a+1]) - 1
+		switch {
+		case mate >= k:
+			res.Matches = append(res.Matches, Match{From: sc.cells[ma], ToBoundary: true, Steps: int(sc.bdist[ma])})
 			res.Flips = appendBoundaryPath(res.Flips, c, basis, sc.cells[ma])
-			continue
+		case mate > a:
+			mb := int(sc.member[mate])
+			res.Matches = append(res.Matches, Match{From: sc.cells[ma], To: sc.cells[mb], Steps: int(sc.dist[int(ma)*n+mb])})
+			res.Flips = appendPairPath(res.Flips, c, sc.cells[ma], sc.cells[mb])
 		}
-		sc.open[bestB] = false
-		mb := int(sc.member[bestB])
-		res.Matches = append(res.Matches, Match{From: sc.cells[ma], To: sc.cells[mb], Steps: int(bestDist)})
-		res.Flips = appendPairPath(res.Flips, c, sc.cells[ma], sc.cells[mb])
 	}
 }
 

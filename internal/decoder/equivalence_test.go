@@ -37,9 +37,9 @@ func randomSyndrome(r *rand.Rand, c surface.Code, basis pauli.Pauli, dense bool)
 	return syn
 }
 
-// TestBitmapEquivalence asserts the bit-packed decoder returns identical
-// Results (matches, corrections, order) to the seed's map-based
-// implementation (frozen in reference.go) across random syndromes.
+// TestBitmapEquivalence holds the bit-packed decoder to the differential
+// contract against the frozen map-based reference (reference.go) across
+// random syndromes, sparse and dense.
 func TestBitmapEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, d := range []int{3, 5, 7} {
@@ -47,10 +47,9 @@ func TestBitmapEquivalence(t *testing.T) {
 		for _, basis := range []pauli.Pauli{pauli.Z, pauli.X} {
 			for trial := 0; trial < 200; trial++ {
 				syn := randomSyndrome(r, c, basis, trial%5 == 0)
-				want := ReferenceDecodePatch(c, basis, syn)
 				got := DecodePatch(c, basis, syn)
-				if !resultsEqual(want, got) {
-					t.Fatalf("d=%d basis=%v trial=%d:\nref %+v\ngot %+v", d, basis, trial, want, got)
+				if err := CheckDifferential(c, basis, syn, got); err != nil {
+					t.Fatalf("d=%d basis=%v trial=%d: %v", d, basis, trial, err)
 				}
 			}
 		}
@@ -71,60 +70,103 @@ func TestBitmapEquivalenceFromErrors(t *testing.T) {
 				errs = append(errs, surface.Coord{Row: r.Intn(d), Col: r.Intn(d)})
 			}
 			syn := SyndromeOf(c, basis, errs)
-			want := ReferenceDecodePatch(c, basis, syn)
 			got := DecodePatch(c, basis, syn)
-			if !resultsEqual(want, got) {
-				t.Fatalf("d=%d basis=%v errs=%v:\nref %+v\ngot %+v", d, basis, errs, want, got)
+			if err := CheckDifferential(c, basis, syn, got); err != nil {
+				t.Fatalf("d=%d basis=%v errs=%v: %v", d, basis, errs, err)
 			}
 		}
 	}
 }
 
-// TestGreedyFallbackEquivalence forces clusters past maxExactCluster so
-// the greedy path is exercised on both implementations.
-func TestGreedyFallbackEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	c := surface.NewCode(15)
-	for trial := 0; trial < 20; trial++ {
-		syn := make(map[surface.Coord]bool)
-		n := 0
-		for _, st := range c.Stabilizers() {
-			if st.Basis != pauli.Z {
+// TestSmallClustersByteIdentical pins the DP side of the split: a
+// syndrome whose clusters are all below blossomMinCluster decodes to
+// exactly the reference's Result, matches and flips in the same order.
+func TestSmallClustersByteIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	var sc Scratch
+	checked := 0
+	for _, d := range []int{3, 5, 7, 9, 15} {
+		c := surface.NewCode(d)
+		for trial := 0; trial < 200; trial++ {
+			basis := []pauli.Pauli{pauli.Z, pauli.X}[trial%2]
+			syn := randomSyndrome(r, c, basis, trial%3 == 0)
+			small := true
+			forEachCluster(c, basis, syn, &sc, func() {
+				small = small && len(sc.member) < blossomMinCluster
+			})
+			if !small {
 				continue
 			}
-			if r.Float64() < 0.6 {
-				syn[st.Anc] = true
-				n++
+			checked++
+			want := ReferenceDecodePatch(c, basis, syn)
+			if got := DecodePatch(c, basis, syn); !resultsEqual(want, got) {
+				t.Fatalf("d=%d basis=%v trial=%d:\nref %+v\ngot %+v", d, basis, trial, want, got)
 			}
 		}
-		if n <= maxExactCluster {
-			continue
+	}
+	if checked < 500 {
+		t.Fatalf("only %d all-small syndromes checked", checked)
+	}
+}
+
+// TestLargeClustersNoWorseThanGreedy drives clusters past the
+// reference's exact limit, where the reference falls back to greedy
+// matching: the production decoder must stay exact, so each such cluster
+// weighs at most the greedy matching.
+func TestLargeClustersNoWorseThanGreedy(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	c := surface.NewCode(15)
+	var sc Scratch
+	large := 0
+	for trial := 0; trial < 20; trial++ {
+		syn := make(map[surface.Coord]bool)
+		for _, st := range c.Stabilizers() {
+			if st.Basis == pauli.Z && r.Float64() < 0.6 {
+				syn[st.Anc] = true
+			}
 		}
-		want := ReferenceDecodePatch(c, pauli.Z, syn)
-		got := DecodePatch(c, pauli.Z, syn)
-		if !resultsEqual(want, got) {
-			t.Fatalf("trial=%d (n=%d): greedy fallback diverged", trial, n)
+		forEachCluster(c, pauli.Z, syn, &sc, func() {
+			if len(sc.member) > refMaxExactCluster {
+				large++
+			}
+		})
+		if err := CheckDifferential(c, pauli.Z, syn, DecodePatch(c, pauli.Z, syn)); err != nil {
+			t.Fatalf("trial=%d: %v", trial, err)
 		}
+	}
+	if large == 0 {
+		t.Fatal("no cluster exceeded the reference's exact limit")
 	}
 }
 
 // TestScratchReuseIsolation asserts a reused Scratch carries no state
-// between decodes: interleaving two streams through one scratch equals
-// decoding each fresh.
+// between decodes: interleaving bases, distances and densities (small
+// clusters on the DP, large ones on the blossom) through one scratch
+// equals decoding each with a fresh Scratch.
 func TestScratchReuseIsolation(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
-	c := surface.NewCode(7)
 	var sc Scratch
-	bm := NewSyndromeBitmap(c)
 	var res Result
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 200; trial++ {
+		c := surface.NewCode([]int{5, 7, 9}[trial%3])
 		basis := []pauli.Pauli{pauli.Z, pauli.X}[trial%2]
 		syn := randomSyndrome(r, c, basis, trial%7 == 0)
+		if trial%5 == 0 {
+			syn = make(map[surface.Coord]bool)
+			for _, st := range c.Stabilizers() {
+				if st.Basis == basis && r.Float64() < 0.5 {
+					syn[st.Anc] = true
+				}
+			}
+		}
+		bm := NewSyndromeBitmap(c)
 		bm.FromMap(syn)
 		DecodePatchInto(c, basis, bm, &sc, &res)
-		want := ReferenceDecodePatch(c, basis, syn)
+		var fresh Scratch
+		var want Result
+		DecodePatchInto(c, basis, bm, &fresh, &want)
 		if !resultsEqual(want, res) {
-			t.Fatalf("trial=%d: scratch reuse diverged:\nref %+v\ngot %+v", trial, want, res)
+			t.Fatalf("trial=%d: reused scratch diverged from a fresh one:\nfresh  %+v\nreused %+v", trial, want, res)
 		}
 	}
 }
@@ -183,23 +225,6 @@ func TestBitmapOps(t *testing.T) {
 	}
 }
 
-func resultsEqual(a, b Result) bool {
-	if len(a.Matches) != len(b.Matches) || len(a.Flips) != len(b.Flips) {
-		return false
-	}
-	for i := range a.Matches {
-		if a.Matches[i] != b.Matches[i] {
-			return false
-		}
-	}
-	for i := range a.Flips {
-		if a.Flips[i] != b.Flips[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // BenchmarkDecodePatch measures the allocation-free hot path on a
 // representative d=15 window at the paper's syndrome density. The
 // acceptance bar is zero allocations per decoded round (-benchmem).
@@ -222,8 +247,8 @@ func BenchmarkDecodePatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodePatchDense stresses the bitmask DP with a heavy window
-// (large clusters), still allocation-free after warmup.
+// BenchmarkDecodePatchDense stresses the exact matcher with a heavy
+// window (large clusters), still allocation-free after warmup.
 func BenchmarkDecodePatchDense(b *testing.B) {
 	c := surface.NewCode(15)
 	r := rand.New(rand.NewSource(9))

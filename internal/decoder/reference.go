@@ -1,11 +1,21 @@
 package decoder
 
 // This file freezes the seed's map-based decoder implementation verbatim
-// (modulo ref* renames). It is the oracle of the differential harness:
-// the bit-packed, allocation-free hot path in decoder.go must return
-// byte-identical Results for every syndrome. The equivalence tests, the
-// FuzzDecodePatch target, and internal/verify's decoder check all pin
-// the production path to this implementation — do not "optimize" it.
+// (modulo ref* renames). It is the oracle of the differential harness.
+// The production decoder (DecodePatchInto) is exact minimum-weight for
+// every cluster size; this reference is exact only up to
+// refMaxExactCluster syndromes per cluster and falls back to greedy
+// nearest-pair matching above that. The contract the equivalence tests,
+// FuzzDecodePatch and internal/verify's decoder check pin per cluster:
+//
+//   - k <= refMaxExactCluster: production total weight equals this one;
+//   - k > refMaxExactCluster: production total weight is at most this
+//     (greedy) one;
+//   - the correction annihilates the syndrome;
+//   - a syndrome whose clusters are all below blossomMinCluster decodes
+//     to a byte-identical Result (both run the same DP).
+//
+// Do not "optimize" this file.
 
 import (
 	"sort"
@@ -14,10 +24,14 @@ import (
 	"xqsim/internal/surface"
 )
 
+// refMaxExactCluster bounds the reference's bitmask DP; larger clusters
+// fall back to greedy nearest-pair matching.
+const refMaxExactCluster = 20
+
 // ReferenceDecodePatch decodes one patch window with the frozen
 // reference matcher. It is deliberately simple and allocation-heavy;
-// production callers use DecodePatch / DecodePatchInto, which must stay
-// result-identical to this function.
+// production callers use DecodePatch / DecodePatchInto, which meet the
+// differential contract above against this function.
 func ReferenceDecodePatch(c surface.Code, basis pauli.Pauli, syndrome map[surface.Coord]bool) Result {
 	cells := make([]surface.Coord, 0, len(syndrome))
 	for p, on := range syndrome {
@@ -81,7 +95,7 @@ func refDecodeCluster(c surface.Code, basis pauli.Pauli, cells []surface.Coord, 
 	if n == 0 {
 		return
 	}
-	if n > maxExactCluster {
+	if n > refMaxExactCluster {
 		refDecodeGreedy(c, basis, cells, res)
 		return
 	}

@@ -14,7 +14,7 @@ import (
 // matcher uses, so the syndrome-annihilation invariant (the correction's
 // own syndrome equals the input) holds by construction; only the pairing
 // is approximate. Compared to the exact matcher it trades a slightly
-// heavier correction (never lighter — the reference is minimum-weight)
+// heavier correction (never lighter — the exact matcher is minimum-weight)
 // for a cycle cost that grows with cluster diameter instead of with the
 // spike round trip across the patch, which is what makes it interesting
 // in the decoder tournament at large distances.

@@ -230,9 +230,15 @@ func NewBackend(layout *surface.PPRLayout, p float64, seed int64, functional boo
 
 // flattenSupports precomputes each stabilizer's data-qubit frame offsets.
 func flattenSupports(stabs []surface.Stabilizer, d int) [][]int {
+	n := 0
+	for _, st := range stabs {
+		n += len(st.Data)
+	}
 	out := make([][]int, len(stabs))
+	backing := make([]int, n)
 	for i, st := range stabs {
-		idx := make([]int, len(st.Data))
+		idx := backing[:len(st.Data):len(st.Data)]
+		backing = backing[len(st.Data):]
 		for j, q := range st.Data {
 			idx[j] = q.Row*d + q.Col
 		}

@@ -74,19 +74,18 @@ func (c Code) PhysPerPatch() int { return 2 * (c.D + 1) * (c.D + 1) }
 // logical-Z connectivity (Z-boundaries top/bottom).
 func (c Code) Stabilizers() []Stabilizer {
 	d := c.D
-	var out []Stabilizer
+	// One array backs every support: (d-1)² weight-4 and 2(d-1)
+	// weight-2 plaquettes.
+	out := make([]Stabilizer, 0, max(d*d-1, 0))
+	backing := make([]Coord, 0, max(4*(d-1)*d, 0))
 	for r := 0; r <= d; r++ {
 		for col := 0; col <= d; col++ {
 			basis := pauli.Z
 			if (r+col)%2 == 1 {
 				basis = pauli.X
 			}
-			var data []Coord
-			for _, q := range [4]Coord{{r - 1, col - 1}, {r - 1, col}, {r, col - 1}, {r, col}} {
-				if q.Row >= 0 && q.Row < d && q.Col >= 0 && q.Col < d {
-					data = append(data, q)
-				}
-			}
+			var corners [4]Coord
+			data := plaquetteSupport(d, r, col, corners[:0])
 			switch len(data) {
 			case 0, 1:
 				continue // corner positions hold no stabilizer
@@ -103,10 +102,23 @@ func (c Code) Stabilizers() []Stabilizer {
 					continue
 				}
 			}
-			out = append(out, Stabilizer{Basis: basis, Anc: Coord{r, col}, Data: data})
+			start := len(backing)
+			backing = append(backing, data...)
+			out = append(out, Stabilizer{Basis: basis, Anc: Coord{r, col}, Data: backing[start:len(backing):len(backing)]})
 		}
 	}
 	return out
+}
+
+// plaquetteSupport appends to buf the data qubits inside a distance-d
+// patch among the four corners of plaquette (r, col).
+func plaquetteSupport(d, r, col int, buf []Coord) []Coord {
+	for _, q := range [4]Coord{{r - 1, col - 1}, {r - 1, col}, {r, col - 1}, {r, col}} {
+		if q.Row >= 0 && q.Row < d && q.Col >= 0 && q.Col < d {
+			buf = append(buf, q)
+		}
+	}
+	return buf
 }
 
 // LogicalZ returns the canonical support of the logical Z operator:
@@ -224,15 +236,12 @@ func (c Code) ConditionalStabilizers() []ConditionalStabilizer {
 			if (r+col)%2 == 1 {
 				basis = pauli.X
 			}
-			var data []Coord
-			for _, q := range [4]Coord{{r - 1, col - 1}, {r - 1, col}, {r, col - 1}, {r, col}} {
-				if q.Row >= 0 && q.Row < d && q.Col >= 0 && q.Col < d {
-					data = append(data, q)
-				}
-			}
+			var corners [4]Coord
+			data := plaquetteSupport(d, r, col, corners[:0])
 			if len(data) != 2 {
 				continue
 			}
+			data = append([]Coord(nil), data...) // off the stack buffer
 			// Keep exactly the complements of Stabilizers()'s survival
 			// rule.
 			var side Side

@@ -14,9 +14,10 @@ import (
 // syndrome shrinker minimizes over:
 //
 //   - the correction's own syndrome equals the input exactly;
-//   - the weight is never below the minimum-weight reference;
+//   - the weight is never below the exact matcher's minimum;
 //   - repeat decodes and a Clone return identical Results;
-//   - the "matching" backend is bit-identical to ReferenceDecodePatch.
+//   - the "matching" backend meets the differential contract against
+//     ReferenceDecodePatch (decoder.CheckDifferential).
 func backendFailureDetail(b decoder.Backend, c surface.Code, basis pauli.Pauli, syn map[surface.Coord]bool) string {
 	bm := decoder.NewSyndromeBitmap(c)
 	bm.FromMap(syn)
@@ -34,12 +35,14 @@ func backendFailureDetail(b decoder.Backend, c surface.Code, basis pauli.Pauli, 
 			return fmt.Sprintf("correction excites plaquette %v (flips %v)", p, res.Flips)
 		}
 	}
-	ref := decoder.ReferenceDecodePatch(c, basis, syn)
-	if len(res.Flips) < len(ref.Flips) {
-		return fmt.Sprintf("weight %d below the minimum-weight reference %d (ref flips %v, got %v)", len(res.Flips), len(ref.Flips), ref.Flips, res.Flips)
+	exact := decoder.DecodePatch(c, basis, syn)
+	if len(res.Flips) < len(exact.Flips) {
+		return fmt.Sprintf("weight %d below the exact minimum %d (exact flips %v, got %v)", len(res.Flips), len(exact.Flips), exact.Flips, res.Flips)
 	}
-	if b.Name() == "matching" && !decodeResultsEqual(ref, res) {
-		return fmt.Sprintf("matching backend diverged from reference\nref: %+v\ngot: %+v", ref, res)
+	if b.Name() == "matching" {
+		if err := decoder.CheckDifferential(c, basis, syn, res); err != nil {
+			return "matching backend: " + err.Error()
+		}
 	}
 	var again, cloned decoder.Result
 	b.Decode(c, basis, bm, &again)

@@ -302,11 +302,12 @@ func CheckFrameSampler(seed int64, shape CircuitShape, shots int) *Failure {
 	return &Failure{Check: "frame", Seed: seed, Detail: detail, Circuit: DumpCircuit(c)}
 }
 
-// CheckDecoder cross-checks the bit-packed production decoder against
-// the frozen reference matcher on randomized syndromes of the given
-// distance, and asserts the correction annihilates the syndrome (the
-// flips' own syndrome equals the input cells, so error + correction is
-// syndrome-free).
+// CheckDecoder holds the bit-packed production decoder to the
+// differential contract against the frozen reference matcher
+// (decoder.CheckDifferential) on randomized syndromes of the given
+// distance: per-cluster minimum weight, byte identity while every
+// cluster stays on the DP, and a correction that annihilates the
+// syndrome (error + correction is syndrome-free).
 func CheckDecoder(seed int64, d, trials int) *Failure {
 	rng := xrand.New(seed)
 	c := surface.NewCode(d)
@@ -321,8 +322,8 @@ func CheckDecoder(seed int64, d, trials int) *Failure {
 		var syn map[surface.Coord]bool
 		var errs []surface.Coord
 		if trial%3 == 0 {
-			// Arbitrary plaquette subsets stress clustering and the DP
-			// beyond physically-realizable syndromes.
+			// Arbitrary plaquette subsets stress clustering and both
+			// exact solvers beyond physically-realizable syndromes.
 			syn = make(map[surface.Coord]bool)
 			for _, st := range c.Stabilizers() {
 				if st.Basis == basis && rng.Float64() < 0.15 {
@@ -335,22 +336,9 @@ func CheckDecoder(seed int64, d, trials int) *Failure {
 			}
 			syn = decoder.SyndromeOf(c, basis, errs)
 		}
-		want := decoder.ReferenceDecodePatch(c, basis, syn)
 		got := decoder.DecodePatch(c, basis, syn)
-		if !decodeResultsEqual(want, got) {
-			return fail(fmt.Sprintf("trial %d basis=%v: bit-packed decode diverged from reference\nsyndrome: %v\nref: %+v\ngot: %+v", trial, basis, sortedCells(syn), want, got))
-		}
-		// The correction's syndrome must equal the input syndrome.
-		resyn := decoder.SyndromeOf(c, basis, got.Flips)
-		for _, p := range sortedKeys(syn) {
-			if syn[p] != resyn[p] {
-				return fail(fmt.Sprintf("trial %d basis=%v: correction does not cancel syndrome at %v\nsyndrome: %v\nflips: %v", trial, basis, p, sortedCells(syn), got.Flips))
-			}
-		}
-		for _, p := range sortedKeys(resyn) {
-			if resyn[p] && !syn[p] {
-				return fail(fmt.Sprintf("trial %d basis=%v: correction excites plaquette %v\nsyndrome: %v\nflips: %v", trial, basis, p, sortedCells(syn), got.Flips))
-			}
+		if err := decoder.CheckDifferential(c, basis, syn, got); err != nil {
+			return fail(fmt.Sprintf("trial %d basis=%v: %v\nsyndrome: %v", trial, basis, err, sortedCells(syn)))
 		}
 	}
 	return nil
@@ -370,22 +358,6 @@ func sortedCells(syn map[surface.Coord]bool) []surface.Coord {
 		return cells[i].Col < cells[j].Col
 	})
 	return cells
-}
-
-// sortedKeys returns every key of a syndrome map (on or off) in row-major
-// order, so failure messages name a deterministic first mismatch.
-func sortedKeys(syn map[surface.Coord]bool) []surface.Coord {
-	keys := make([]surface.Coord, 0, len(syn))
-	for p := range syn {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Row != keys[j].Row {
-			return keys[i].Row < keys[j].Row
-		}
-		return keys[i].Col < keys[j].Col
-	})
-	return keys
 }
 
 func decodeResultsEqual(a, b decoder.Result) bool {
