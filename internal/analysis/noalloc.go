@@ -161,6 +161,12 @@ func checkNoallocCall(p *Pass, call *ast.CallExpr, fd *ast.FuncDecl, origin stri
 				return
 			}
 		}
+		// Check arguments against the instantiated signature: a generic
+		// callee's type-parameter parameters are interface-constrained
+		// but take their arguments unboxed.
+		if inst, ok := p.Info.TypeOf(call.Fun).(*types.Signature); ok {
+			sig = inst
+		}
 		checkBoxedArgs(p, call, sig, report)
 	}
 	pkg := callee.Pkg()

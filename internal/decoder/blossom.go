@@ -1,6 +1,9 @@
 package decoder
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // blossom is the working memory of an O(n³) weighted Edmonds blossom
 // matcher on a dense graph of n vertices (the primal-dual algorithm of
@@ -171,14 +174,6 @@ func (m *blossom) children(b int) []int32 {
 	return m.flower[base : base+int(m.flen[b])]
 }
 
-// reverseInt32 reverses s in place. (slices.Reverse is generic, which
-// the noalloc analyzer cannot verify.)
-func reverseInt32(s []int32) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // evenPos returns xr's position in b's cycle, first reversing the cycle
 // (all but the base) when xr sits at an odd position, so the path from
 // the base to xr always has even length.
@@ -189,7 +184,7 @@ func (m *blossom) evenPos(b, xr int) int {
 		pr++
 	}
 	if pr%2 == 1 {
-		reverseInt32(fl[1:])
+		slices.Reverse(fl[1:])
 		return len(fl) - pr
 	}
 	return pr
@@ -211,9 +206,9 @@ func (m *blossom) setMatch(u, v int) {
 	}
 	m.setMatch(xr, v)
 	// Rotate left by pr: xr becomes the base.
-	reverseInt32(fl[:pr])
-	reverseInt32(fl[pr:])
-	reverseInt32(fl)
+	slices.Reverse(fl[:pr])
+	slices.Reverse(fl[pr:])
+	slices.Reverse(fl)
 }
 
 func (m *blossom) augment(u, v int) {
@@ -274,7 +269,7 @@ func (m *blossom) addBlossom(u, lca, v int) {
 		m.qPush(y)
 		x = int(m.st[m.pa[y]])
 	}
-	reverseInt32(fl[1:k])
+	slices.Reverse(fl[1:k])
 	for x := v; x != lca; {
 		y := int(m.st[m.match[x]])
 		fl[k], fl[k+1] = int32(x), int32(y)

@@ -313,6 +313,8 @@ func gridError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusConflict, err.Error())
 	case errors.Is(err, ErrNoLease):
 		httpError(w, http.StatusGone, err.Error())
+	case errors.Is(err, ErrGridCorrupt):
+		httpError(w, http.StatusInternalServerError, err.Error())
 	default:
 		httpError(w, http.StatusBadRequest, err.Error())
 	}
